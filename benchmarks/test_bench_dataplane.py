@@ -1,14 +1,11 @@
-"""Benchmarks for the binary data plane and the persistent worker pool.
+"""Benchmarks for the binary data plane.
 
-Quantifies the three tentpole wins of ``REPRO_DATA_PLANE`` /
-``REPRO_POOL_PERSIST`` against their legacy baselines, asserting
-byte-identical results in the same breath:
+Quantifies the wins of ``REPRO_DATA_PLANE`` against its legacy
+baselines, asserting byte-identical results in the same breath:
 
 - **warm feature-store load**: packed mmap event segments vs the
   JSON-per-script cache;
-- **request scan**: the columnar request table vs parsing HAR JSON;
-- **§4.3 parallel live crawl**: one persistent fork pool across waves vs
-  a fresh pool per wave.
+- **request scan**: the columnar request table vs parsing HAR JSON.
 
 The crawl benchmarks run at 0.2 scale regardless of ``REPRO_SCALE``,
 which also gives the repository round-trip assertion its large-crawl
@@ -25,8 +22,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.coverage import CoverageAnalyzer
-from repro.analysis.livecrawl import LiveCrawler
-from repro.analysis.pool import PersistentPool, set_persistent_pool
 from repro.core.featstore import FeatureStore
 from repro.dataplane.requests import RequestTable
 from repro.experiments.context import ExperimentContext
@@ -148,31 +143,3 @@ def test_bench_repository_roundtrip_large(big_ctx, saved_repo):
     assert pickle.dumps(from_json) == pickle.dumps(from_table)
     assert from_json == baseline
     assert from_table == baseline
-
-
-def test_bench_sec43_persistent_vs_fork_per_wave(benchmark, big_ctx):
-    """§4.3 with 2 workers: persistent pool beats fork-per-wave, same bytes."""
-    crawler = LiveCrawler(big_ctx.world, big_ctx.histories)
-    previous = set_persistent_pool(None)
-    try:
-        fork_s, fork_result = best_of(1, lambda: crawler.crawl(workers=2))
-
-        pool = PersistentPool(2)
-        pool.publish("world", big_ctx.world)
-        pool.publish("histories", big_ctx.histories)
-        set_persistent_pool(pool)
-        persist_s, persist_result = best_of(1, lambda: crawler.crawl(workers=2))
-        assert pool.runs > 0  # the persistent route really ran
-        assert pickle.dumps(persist_result) == pickle.dumps(fork_result)
-
-        benchmark.extra_info["fork_per_wave_s"] = fork_s
-        benchmark.extra_info["persistent_s"] = persist_s
-        benchmark.extra_info["speedup"] = fork_s / persist_s
-        print(
-            f"\n[sec43 2 workers] fork-per-wave {fork_s:.2f}s "
-            f"persistent {persist_s:.2f}s ({fork_s / persist_s:.2f}x)"
-        )
-        benchmark.pedantic(lambda: crawler.crawl(workers=2), rounds=1, iterations=1)
-    finally:
-        set_persistent_pool(previous)
-    assert persist_s < fork_s

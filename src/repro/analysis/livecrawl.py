@@ -20,7 +20,7 @@ from ..obs.trace import emit_event
 from ..obs.trace import span as trace_span
 from ..resilience import ResiliencePolicy, default_resilience
 from ..resilience.canonical import Interner
-from .pool import get_persistent_pool, map_shards, split_shards
+from .pool import map_shards, split_shards
 from .rulestats import get_rule_stats
 from ..filterlist.matcher import NetworkMatcher
 from ..filterlist.parser import FilterList
@@ -60,14 +60,9 @@ class LiveCrawlResult:
 
 
 def _make_wave_crawler(state) -> "LiveCrawler":
-    """Fork-per-run worker state: one crawler per worker per wave."""
+    """Worker state: one crawler per worker per wave."""
     world, histories = state
     return LiveCrawler(world, histories)
-
-
-def _make_persistent_crawler(published) -> "LiveCrawler":
-    """Persistent-pool worker state: one crawler per worker, ever."""
-    return LiveCrawler(published["world"], published["histories"])
 
 
 def _live_range_task(crawler: "LiveCrawler", bounds, check_html: bool):
@@ -185,12 +180,10 @@ class LiveCrawler:
         crawl resumes from it, reproducing the uninterrupted result.
 
         ``workers`` (default: ``REPRO_WORKERS``) > 1 visits ranks in
-        parallel waves — through the process-wide persistent pool when
-        one is live with this crawl's world published, else one fork
-        pool per wave. Parallel accumulation replays payloads in rank
-        order, so the result is byte-identical to the serial crawl's.
-        Journaled crawls stay serial (the journal is an ordered
-        per-rank checkpoint stream).
+        parallel waves, one fork pool per wave. Parallel accumulation
+        replays payloads in rank order, so the result is byte-identical
+        to the serial crawl's. Journaled crawls stay serial (the journal
+        is an ordered per-rank checkpoint stream).
         """
         resilience = resilience or default_resilience()
         journal = resilience.journal("live", self._fingerprint(check_html))
@@ -277,12 +270,9 @@ class LiveCrawler:
     ) -> LiveCrawlResult:
         """Visit ranks in parallel waves, accumulating in rank order.
 
-        Each wave fans one contiguous rank range out across ``workers``.
-        With a live persistent pool whose published world/histories are
-        this crawler's (identity), waves reuse its warm workers — the
-        per-worker :class:`LiveCrawler` (matchers, adblockers) is built
-        once, ever. Otherwise every wave pays for a fresh fork pool and
-        fresh worker crawlers — the ``REPRO_POOL_PERSIST=0`` baseline.
+        Each wave fans one contiguous rank range out across ``workers``
+        through a fresh fork pool whose workers each build one
+        :class:`LiveCrawler` (matchers, adblockers) for the wave.
         """
         ranked = self._ranked()
         total = len(ranked)
@@ -290,12 +280,6 @@ class LiveCrawler:
         result = self._empty_result()
         seen_scripts = set()
         collector = get_rule_stats()
-        pool = get_persistent_pool()
-        use_pool = (
-            pool is not None
-            and pool.matches("world", self.world)
-            and pool.matches("histories", self.histories)
-        )
         span.set(workers=workers, waves=-(-total // wave) if total else 0)
         for lo in range(0, total, wave):
             hi = min(lo + wave, total)
@@ -305,22 +289,13 @@ class LiveCrawler:
             for shard in shards:
                 bounds.append((at, at + len(shard)))
                 at += len(shard)
-            outputs = None
-            if use_pool:
-                outputs = pool.run(
-                    _live_range_task,
-                    bounds,
-                    make=_make_persistent_crawler,
-                    extra=(check_html,),
-                )
-            if outputs is None:
-                outputs = map_shards(
-                    bounds,
-                    _live_range_task,
-                    state=(self.world, self.histories),
-                    make_worker_state=_make_wave_crawler,
-                    extra=(check_html,),
-                )
+            outputs = map_shards(
+                bounds,
+                _live_range_task,
+                state=(self.world, self.histories),
+                make_worker_state=_make_wave_crawler,
+                extra=(check_html,),
+            )
             for payloads, rule_delta in outputs:
                 if rule_delta and collector is not None:
                     collector.merge_payload(rule_delta)

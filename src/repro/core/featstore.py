@@ -44,9 +44,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.perf import LRUCache
-from ..analysis.pool import get_persistent_pool, map_shards, split_shards
+from ..analysis.pool import map_shards, split_shards
 from ..dataplane.events import PackedEventCache
-from ..dataplane.sources import SourceTable, write_source_table
 from ..jsast.parser import ParseError, parse
 from ..jsast.tokenizer import TokenizeError
 from ..jsast.unpack import unpack_program
@@ -125,25 +124,6 @@ def _extract_shard(_state, shard: List[str], unpack: bool):
     """Extract one shard of sources; returns (entries, span payload)."""
     wall0, cpu0 = time.perf_counter(), time.process_time()
     entries = [extract_events(source, unpack) for source in shard]
-    payload = {
-        "wall_s": time.perf_counter() - wall0,
-        "cpu_s": time.process_time() - cpu0,
-        "scripts": len(entries),
-    }
-    return entries, payload
-
-
-def _extract_range_task(_state, bounds: Tuple[str, int, int], unpack: bool):
-    """Persistent-pool task: extract one index range of a source table.
-
-    The payload is ``(table path, lo, hi)`` — the worker maps the table
-    and decodes only its own slice, so no script source crosses the
-    process boundary as a pickle.
-    """
-    path, lo, hi = bounds
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with SourceTable(path) as table:
-        entries = [extract_events(table.get(i), unpack) for i in range(lo, hi)]
     payload = {
         "wall_s": time.perf_counter() - wall0,
         "cpu_s": time.process_time() - cpu0,
@@ -419,42 +399,12 @@ class FeatureStore:
         if len(shards) <= 1:
             return [extract_events(source, unpack) for _, source in todo]
         span.set(shards=len(shards))
-        results = self._extract_persistent(shards, unpack)
-        if results is None:
-            results = map_shards(shards, _extract_shard, extra=(unpack,))
+        results = map_shards(shards, _extract_shard, extra=(unpack,))
         entries: List[ScriptEvents] = []
         for index, (shard_entries, payload) in enumerate(results):
             span.add_child_payload(f"shard:{index}", **payload)
             entries.extend(shard_entries)
         return entries
-
-    def _extract_persistent(self, shards: List[List[str]], unpack: bool):
-        """Fan extraction out over the persistent pool, if one is live.
-
-        The miss list is written once as a packed source table; payloads
-        are ``(path, lo, hi)`` index ranges into it, so the fan-out ships
-        no sources and the per-run pool setup cost disappears. Returns
-        ``None`` (caller falls back to :func:`map_shards`) when no
-        persistent pool exists.
-        """
-        pool = get_persistent_pool()
-        if pool is None:
-            return None
-        import shutil
-        import tempfile
-
-        tmpdir = tempfile.mkdtemp(prefix="repro-sources-")
-        try:
-            path = os.path.join(tmpdir, "sources.rdps")
-            write_source_table(path, [source for shard in shards for source in shard])
-            bounds = []
-            lo = 0
-            for shard in shards:
-                bounds.append((path, lo, lo + len(shard)))
-                lo += len(shard)
-            return pool.run(_extract_range_task, bounds, extra=(unpack,))
-        finally:
-            shutil.rmtree(tmpdir, ignore_errors=True)
 
     # -- feature-set derivation ---------------------------------------------
 

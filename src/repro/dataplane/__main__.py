@@ -6,7 +6,7 @@
 
 Prints the verified header (kind, version, payload size, sha256) plus a
 kind-specific summary: script/event counts for event segments, slot/row
-counts for request tables, entry counts for source tables.
+counts for request tables, line counts for serving snapshots.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import json
 import sys
 
 from .events import EventSegmentReader
-from .format import KIND_EVENTS, KIND_REQUESTS, KIND_SOURCES, DataPlaneError, inspect_header
+from .format import DataPlaneError, inspect_header
 from .requests import RequestTable
-from .sources import SourceTable
 
 
 def _summarize(path: str) -> dict:
@@ -37,9 +36,6 @@ def _summarize(path: str) -> dict:
     elif kind == "requests":
         with RequestTable(path) as table:
             info.update(slots=table.slot_count, rows=table.row_count)
-    elif kind == "sources":
-        with SourceTable(path) as table:
-            info.update(sources=len(table))
     elif kind == "snapshot":
         from ..serve.snapshot import SnapshotReader
 

@@ -5,7 +5,7 @@ Every data-plane file is one atomic artifact::
     +--------------------------------------------------------------+
     | header (48 bytes):                                           |
     |   magic  b"RDPK"          4s                                 |
-    |   kind   (format id)      u16   events / requests / sources  |
+    |   kind   (format id)      u16   events / requests / ...      |
     |   version                 u16   container layout revision    |
     |   payload_length          u64                                |
     |   payload_sha256          32s   integrity check at open      |
@@ -47,14 +47,14 @@ FORMAT_VERSION = 1
 #: Format kinds carried in the header.
 KIND_EVENTS = 1  # packed token-event segment (§5 feature cache)
 KIND_REQUESTS = 2  # columnar HAR request table (§4 replay)
-KIND_SOURCES = 3  # script source table (worker-pool attachment)
+# 3 is reserved: the retired script-source table kind. Never reuse it,
+# so an old file cannot be misread as a newer kind.
 KIND_GRAPH = 4  # artifact-graph node value (run cache)
 KIND_SNAPSHOT = 5  # packed serving snapshot (rule lines + detector)
 
 KIND_NAMES = {
     KIND_EVENTS: "events",
     KIND_REQUESTS: "requests",
-    KIND_SOURCES: "sources",
     KIND_GRAPH: "graph",
     KIND_SNAPSHOT: "snapshot",
 }

@@ -5,7 +5,7 @@ and ``REPRO_WORKERS``/``REPRO_MATCHER_CACHE`` in ``analysis.perf``, each
 silently falling back to its default on garbage input — a typo like
 ``REPRO_WORKERS=fuor`` quietly ran serial. Every knob — scale, workers,
 the matcher/history/feature caches, the serve daemon's
-port/batch/linger/workers surface, and the resilience layer's retry/
+port/batch/linger/shards surface, and the resilience layer's retry/
 journal/fault-injection settings — now resolves here: invalid or out-of-range
 values still fall back to the documented
 defaults (so behaviour is unchanged), but a warning is logged **once per
@@ -31,12 +31,10 @@ DEFAULT_HISTORY_CACHE = 65536
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_RETRY_BASE_MS = 50.0
 DEFAULT_DATA_PLANE = False
-DEFAULT_POOL_PERSIST = False
 DEFAULT_RULE_STATS = False
 DEFAULT_SERVE_PORT = 7675
 DEFAULT_SERVE_BATCH = 64
 DEFAULT_SERVE_WAIT_MS = 2.0
-DEFAULT_SERVE_WORKERS = 0
 DEFAULT_SERVE_SHARDS = 0
 
 #: The knobs this module owns, in manifest order.
@@ -49,13 +47,11 @@ KNOBS = (
     "REPRO_RUN_CACHE",
     "REPRO_LIST_PATCH",
     "REPRO_DATA_PLANE",
-    "REPRO_POOL_PERSIST",
     "REPRO_RULE_STATS",
     "REPRO_RULE_STATS_DIR",
     "REPRO_SERVE_PORT",
     "REPRO_SERVE_BATCH",
     "REPRO_SERVE_WAIT_MS",
-    "REPRO_SERVE_WORKERS",
     "REPRO_SERVE_SHARDS",
     "REPRO_MAX_RETRIES",
     "REPRO_RETRY_BASE_MS",
@@ -239,20 +235,6 @@ def data_plane_enabled(environ: Optional[Mapping[str, str]] = None) -> bool:
     )
 
 
-def pool_persist(environ: Optional[Mapping[str, str]] = None) -> bool:
-    """Persistent worker-pool toggle from ``REPRO_POOL_PERSIST`` (default off).
-
-    When on (and ``REPRO_WORKERS`` > 1), parallel fan-outs share one
-    long-lived fork pool per process instead of creating and tearing one
-    down per run; workers keep their built state (matchers, mmap
-    attachments) warm across fan-outs. Results are identical either way.
-    """
-    environ = os.environ if environ is None else environ
-    return _resolve_bool(
-        "REPRO_POOL_PERSIST", environ.get("REPRO_POOL_PERSIST"), DEFAULT_POOL_PERSIST
-    )
-
-
 def rule_stats_enabled(environ: Optional[Mapping[str, str]] = None) -> bool:
     """Rule-level stats toggle from ``REPRO_RULE_STATS`` (default off).
 
@@ -329,24 +311,6 @@ def serve_wait_ms(environ: Optional[Mapping[str, str]] = None) -> float:
         environ.get("REPRO_SERVE_WAIT_MS"),
         DEFAULT_SERVE_WAIT_MS,
         minimum=0.0,
-    )
-
-
-def serve_workers(environ: Optional[Mapping[str, str]] = None) -> int:
-    """Serve-daemon worker processes from ``REPRO_SERVE_WORKERS`` (≥ 0).
-
-    0 (the default) answers every batch inline in the daemon process;
-    ≥ 2 fans batches across a dedicated
-    :class:`~repro.analysis.pool.PersistentPool` of fork workers, each
-    holding its own warm matcher/detector state (1 behaves like 0 — one
-    worker buys nothing over inline).
-    """
-    environ = os.environ if environ is None else environ
-    return _resolve_int(
-        "REPRO_SERVE_WORKERS",
-        environ.get("REPRO_SERVE_WORKERS"),
-        DEFAULT_SERVE_WORKERS,
-        minimum=0,
     )
 
 
@@ -441,8 +405,6 @@ class ConfigSnapshot:
     list_patch: Optional[str] = None
     #: Packed binary interchange for the hot stores (``REPRO_DATA_PLANE``).
     data_plane: bool = DEFAULT_DATA_PLANE
-    #: One long-lived worker pool per process (``REPRO_POOL_PERSIST``).
-    pool_persist: bool = DEFAULT_POOL_PERSIST
     #: Per-rule hit/cost accounting (``REPRO_RULE_STATS``).
     rule_stats: bool = DEFAULT_RULE_STATS
     #: Cross-run rule-stats accumulator directory (``REPRO_RULE_STATS_DIR``).
@@ -453,8 +415,6 @@ class ConfigSnapshot:
     serve_batch: int = DEFAULT_SERVE_BATCH
     #: Serve-daemon batch linger in milliseconds (``REPRO_SERVE_WAIT_MS``).
     serve_wait_ms: float = DEFAULT_SERVE_WAIT_MS
-    #: Serve-daemon worker processes (``REPRO_SERVE_WORKERS``; 0 = inline).
-    serve_workers: int = DEFAULT_SERVE_WORKERS
     #: Serve-daemon shard processes (``REPRO_SERVE_SHARDS``; 0/1 = single).
     serve_shards: int = DEFAULT_SERVE_SHARDS
     max_retries: int = DEFAULT_MAX_RETRIES
@@ -478,13 +438,11 @@ class ConfigSnapshot:
             "run_cache": self.run_cache,
             "list_patch": self.list_patch,
             "data_plane": self.data_plane,
-            "pool_persist": self.pool_persist,
             "rule_stats": self.rule_stats,
             "rule_stats_dir": self.rule_stats_dir,
             "serve_port": self.serve_port,
             "serve_batch": self.serve_batch,
             "serve_wait_ms": self.serve_wait_ms,
-            "serve_workers": self.serve_workers,
             "serve_shards": self.serve_shards,
             "max_retries": self.max_retries,
             "retry_base_ms": self.retry_base_ms,
@@ -506,13 +464,11 @@ def config_snapshot(environ: Optional[Mapping[str, str]] = None) -> ConfigSnapsh
         run_cache=run_cache_dir(environ),
         list_patch=list_patch_file(environ),
         data_plane=data_plane_enabled(environ),
-        pool_persist=pool_persist(environ),
         rule_stats=rule_stats_enabled(environ),
         rule_stats_dir=rule_stats_dir(environ),
         serve_port=serve_port(environ),
         serve_batch=serve_batch_size(environ),
         serve_wait_ms=serve_wait_ms(environ),
-        serve_workers=serve_workers(environ),
         serve_shards=serve_shards(environ),
         max_retries=max_retries(environ),
         retry_base_ms=retry_base_ms(environ),

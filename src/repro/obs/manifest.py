@@ -245,7 +245,6 @@ def validate_manifest(manifest: Dict[str, Any]) -> List[str]:
         ("serve_port", int),
         ("serve_batch", int),
         ("serve_wait_ms", (int, float)),
-        ("serve_workers", int),
         ("serve_shards", int),
         ("max_retries", int),
         ("retry_base_ms", (int, float)),
@@ -343,7 +342,8 @@ def _validate_serve_section(serve: Any) -> List[str]:
 
     Written by the serve daemon on shutdown (:mod:`repro.serve`): the
     port it listened on, the epoch it finished at, and the query/batch/
-    reload/dropped counters a smoke test gates on.
+    reload/dropped counters a smoke test gates on. Older daemons also
+    wrote a ``workers`` count; it is still accepted when present.
     """
     if not isinstance(serve, dict):
         return ["serve: not an object"]
@@ -352,7 +352,7 @@ def _validate_serve_section(serve: Any) -> List[str]:
         errors.append("serve.port: expected int")
     if not isinstance(serve.get("epoch"), int):
         errors.append("serve.epoch: expected int")
-    if not isinstance(serve.get("workers"), int):
+    if "workers" in serve and not isinstance(serve.get("workers"), int):
         errors.append("serve.workers: expected int")
     for field in _SERVE_COUNTERS:
         value = serve.get(field)

@@ -9,7 +9,8 @@ speed. This package is that deployment shape as a daemon:
 - :mod:`~repro.serve.protocol` — newline-delimited JSON queries
   (``url`` / ``script`` / ``page``) and control ops;
 - :mod:`~repro.serve.batcher` — request batching with a one-predict
-  prewarm pass, plus pipelined fan-out over persistent pool workers;
+  prewarm pass, answered inline (the shard plane is the one way to use
+  more cores);
 - :mod:`~repro.serve.reload` — O(delta) epoch-swap hot reload that
   never drops an in-flight query;
 - :mod:`~repro.serve.snapshot` — the packed ``kind=snapshot`` RDPK

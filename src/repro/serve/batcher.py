@@ -1,6 +1,6 @@
 """Query engine and request batcher: the serve daemon's data path.
 
-Three execution paths, all answering byte-identically to the offline
+Two execution paths, both answering byte-identically to the offline
 :class:`~repro.core.online.OnlineAdblocker`:
 
 - **naive** — one query per call, exactly the offline code path (the
@@ -9,23 +9,23 @@ Three execution paths, all answering byte-identically to the offline
   script sources and scores them with ONE ``detector.predict`` call, so
   the per-call vectorise/kernel overhead is paid once per batch instead
   of once per script; ``visit``/``scan_scripts`` then run against a warm
-  verdict cache. This is where the ≥3× loadgen speedup comes from;
-- **pooled** — whole batches dispatched to
-  :class:`~repro.analysis.pool.PersistentPool` workers via ``submit``
-  (pipelined: the batcher collects batch N+1 while the pool scores
-  batch N). Workers fork with epoch 0 and fold the parent's raw-line
-  delta history forward (:meth:`~repro.serve.reload.EpochChain.fold_to`),
-  so a hot reload reaches them with the next batch.
+  verdict cache. This is where the ≥3× loadgen speedup comes from.
+
+Parallelism across cores is the shard plane's job
+(:mod:`repro.serve.shard`): each shard process runs one engine inline.
 
 The :class:`RequestBatcher` is the admission queue between protocol
 handler threads and the engine: handlers block on a per-query slot, a
 single collector thread lingers up to ``REPRO_SERVE_WAIT_MS`` to fill
 batches of ``REPRO_SERVE_BATCH``, and every query's queue-to-answer
-latency lands in the ``serve.latency_ns`` histogram.
+latency lands in the ``serve.latency_ns`` histogram. A batch whose
+engine call raises is answered with one error frame per query (counted
+in ``serve.engine_errors``); the collector thread keeps serving.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -38,8 +38,10 @@ from ..obs.metrics import get_metrics
 from . import protocol
 from .reload import EpochChain
 
+logger = logging.getLogger("repro.serve")
 
-# -- answering (shared by parent and pool workers) -------------------------------
+
+# -- answering ---------------------------------------------------------------------
 
 
 def answer_query(online: OnlineAdblocker, query: Dict[str, Any]) -> Dict[str, Any]:
@@ -50,10 +52,16 @@ def answer_query(online: OnlineAdblocker, query: Dict[str, Any]) -> Dict[str, An
             url = query.get("url")
             if not isinstance(url, str) or not url:
                 return protocol.error_response("url: missing 'url'", op)
+            page_url = query.get("page_url", "") or ""
+            resource_type = query.get("resource_type", "other") or "other"
+            if not isinstance(page_url, str):
+                return protocol.error_response("url: 'page_url' must be a string", op)
+            if not isinstance(resource_type, str):
+                return protocol.error_response(
+                    "url: 'resource_type' must be a string", op
+                )
             blocked = online.adblocker.should_block(
-                url,
-                page_url=query.get("page_url", "") or "",
-                resource_type=query.get("resource_type", "other") or "other",
+                url, page_url=page_url, resource_type=resource_type
             )
             return protocol.ok_response(op, blocked=bool(blocked))
         if op == "script":
@@ -118,78 +126,24 @@ def prewarm_verdicts(online: OnlineAdblocker, queries: Sequence[Dict[str, Any]])
     return len(pending)
 
 
-# -- pool worker side ------------------------------------------------------------
-
-
-def _make_worker_chain(published: Dict[str, Any]) -> EpochChain:
-    """Build a worker's epoch-0 chain from the fork-published serve state."""
-    return EpochChain(
-        published["detector"],
-        published["network_rules"],
-        published["element_rules"],
-    )
-
-
-def _serve_worker_task(chain: EpochChain, payload: Dict[str, Any]):
-    """Worker body: fold to the batch's epoch, prewarm, answer.
-
-    The payload carries the parent's full raw-line delta history; the
-    worker's cached chain replays only the unseen suffix, so reload cost
-    per worker is O(delta) once, amortised across later batches.
-    """
-    chain.fold_to(payload["deltas"])
-    queries = payload["queries"]
-    epoch = chain.acquire()
-    try:
-        prewarmed = prewarm_verdicts(epoch.online, queries)
-        answers = [answer_query(epoch.online, query) for query in queries]
-        epoch.online.adblocker.log.clear()
-    finally:
-        epoch.release()
-    return {"answers": answers, "prewarmed": prewarmed, "epoch": epoch.index}
-
-
-class _BatchFuture:
-    """A pool batch in flight: holds its epoch until the answers land."""
-
-    def __init__(self, inner, epoch) -> None:
-        self._inner = inner
-        self._epoch = epoch
-        self._released = False
-
-    def done(self) -> bool:
-        return self._inner.done()
-
-    def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        try:
-            return self._inner.result(timeout)
-        finally:
-            if not self._released:
-                self._released = True
-                self._epoch.release()
-
-
 # -- the engine ------------------------------------------------------------------
 
 
 class ServeEngine:
     """Answers query batches against the chain's current epoch.
 
-    ``pool`` (a :class:`~repro.analysis.pool.PersistentPool` with the
-    serve state published) enables the fan-out path; without it batches
-    run inline. ``batched=False`` per call disables the prewarm pass —
-    that is the benchmark's one-query-per-call baseline, not a mode the
-    daemon serves in.
+    ``batched=False`` per call disables the prewarm pass — that is the
+    benchmark's one-query-per-call baseline, not a mode the daemon
+    serves in.
     """
 
-    def __init__(self, chain: EpochChain, pool=None) -> None:
+    def __init__(self, chain: EpochChain) -> None:
         self.chain = chain
-        self.pool = pool
 
     def answer_batch(
         self, queries: Sequence[Dict[str, Any]], batched: bool = True
     ) -> List[Dict[str, Any]]:
-        """Answer a batch inline (the no-pool and fallback path)."""
+        """Answer a batch against the current epoch."""
         metrics = get_metrics()
         epoch = self.chain.acquire()
         try:
@@ -206,40 +160,6 @@ class ServeEngine:
         metrics.count("serve.queries", len(queries))
         metrics.count("serve.batches")
         return answers
-
-    def submit_batch(self, queries: Sequence[Dict[str, Any]]) -> Optional[_BatchFuture]:
-        """Dispatch a batch to a pool worker; ``None`` means run inline.
-
-        The returned future's ``result()`` yields the answer list; the
-        acquired epoch is held until then, so a concurrent reload drains
-        only after the pool has answered — zero dropped queries.
-        """
-        if self.pool is None:
-            return None
-        epoch = self.chain.acquire()
-        payload = {
-            "epoch": epoch.index,
-            "deltas": list(self.chain.deltas[: epoch.index]),
-            "queries": list(queries),
-        }
-        inner = self.pool.submit(
-            _serve_worker_task, payload, key="serve", make=_make_worker_chain
-        )
-        if inner is None:  # pragma: no cover - non-fork platforms
-            epoch.release()
-            return None
-        return _BatchFuture(inner, epoch)
-
-    def collect(self, future: _BatchFuture) -> List[Dict[str, Any]]:
-        """Resolve a pool batch and absorb its accounting."""
-        outcome = future.result()
-        metrics = get_metrics()
-        metrics.count("serve.queries", len(outcome["answers"]))
-        metrics.count("serve.batches")
-        metrics.count("serve.pool_batches")
-        if outcome["prewarmed"]:
-            metrics.count("serve.prewarmed", outcome["prewarmed"])
-        return outcome["answers"]
 
 
 # -- the batcher -----------------------------------------------------------------
@@ -341,23 +261,11 @@ class RequestBatcher:
             self._thread.join(timeout)
             self._thread = None
 
-    def _collect(
-        self, pending: Optional[_BatchFuture] = None
-    ) -> List[Tuple[Dict[str, Any], _Slot]]:
-        """Block for the first query, then linger to fill the batch.
-
-        While a pool batch is in flight (``pending``), the empty-queue
-        wait is bounded to short ticks and returns empty the moment the
-        future completes, so the loop can deliver those answers. Without
-        the bound, the final batch of a burst would wait here for the
-        *next* query — which never arrives, because every synchronous
-        client is blocked on exactly that batch's answers.
-        """
+    def _collect(self) -> List[Tuple[Dict[str, Any], _Slot]]:
+        """Block for the first query, then linger to fill the batch."""
         with self._cv:
             while not self._queue and not self._closed:
-                if pending is not None and pending.done():
-                    return []
-                self._cv.wait(0.002 if pending is not None else 0.1)
+                self._cv.wait(0.1)
             if not self._queue:
                 return []
             deadline = time.monotonic() + self.wait_s
@@ -382,30 +290,24 @@ class RequestBatcher:
 
     def _loop(self) -> None:
         metrics = get_metrics()
-        #: One pool batch in flight while the next one fills (pipelining).
-        pending: Optional[Tuple[List, Any]] = None
         while True:
-            batch = self._collect(pending[1] if pending is not None else None)
+            batch = self._collect()
             if not batch:
-                if pending is not None:
-                    entries, future = pending
-                    self._deliver(entries, self.engine.collect(future))
-                    pending = None
-                    continue
                 if self._closed:
                     return
                 continue
             metrics.hist("serve.batch_size", len(batch))
             queries = [query for query, _ in batch]
-            future = self.engine.submit_batch(queries)
-            if future is None:
-                if pending is not None:
-                    entries, prior = pending
-                    self._deliver(entries, self.engine.collect(prior))
-                    pending = None
-                self._deliver(batch, self.engine.answer_batch(queries))
-                continue
-            if pending is not None:
-                entries, prior = pending
-                self._deliver(entries, self.engine.collect(prior))
-            pending = (batch, future)
+            try:
+                answers = self.engine.answer_batch(queries)
+            except Exception as exc:
+                # This thread is the daemon's only collector: if it died,
+                # every later query on every connection would time out.
+                logger.exception("serve engine failed on a %d-query batch", len(batch))
+                metrics.count("serve.engine_errors")
+                message = f"engine error: {type(exc).__name__}: {exc}"
+                answers = [
+                    protocol.error_response(message, query.get("op"))
+                    for query in queries
+                ]
+            self._deliver(batch, answers)

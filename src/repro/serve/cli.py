@@ -19,81 +19,64 @@ See docs/SERVING.md for the full runbook.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from typing import List, Optional
 
-from ..obs.config import (
-    serve_batch_size,
-    serve_port,
-    serve_shards,
-    serve_wait_ms,
-    serve_workers,
-)
+from ..obs.config import serve_port, serve_shards
 
 
 class _CliError(Exception):
     """A bad command line (message to stderr, exit status 2)."""
 
 
-def _take_value(args: List[str], flag: str, arg: str) -> str:
-    if arg.startswith(flag + "="):
-        return arg.split("=", 1)[1]
-    if not args:
-        raise _CliError(f"{flag} requires a value")
-    return args.pop(0)
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises :class:`_CliError` instead of exiting."""
+
+    def error(self, message: str):
+        raise _CliError(f"{self.prog}: {message}")
+
+
+def _parser(prog: str) -> _Parser:
+    """The flags both subcommands share; ``--help`` is parsed, not acted on."""
+    parser = _Parser(
+        prog=prog,
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        add_help=False,
+        allow_abbrev=False,
+    )
+    parser.add_argument("-h", "--help", action="store_true")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int)
+    return parser
+
+
+def _serve_parser() -> _Parser:
+    parser = _parser("python -m repro serve")
+    parser.add_argument("--batch", type=int)
+    parser.add_argument("--wait-ms", type=float)
+    parser.add_argument("--shards", type=int)
+    parser.add_argument("--snapshot")
+    parser.add_argument("--ready-file")
+    parser.add_argument("--metrics-out")
+    return parser
 
 
 def _serve_args(argv: List[str]) -> dict:
-    opts = {
-        "host": "127.0.0.1",
-        "port": None,
-        "workers": None,
-        "batch": None,
-        "wait_ms": None,
-        "ready_file": None,
-        "metrics_out": None,
-        "shards": None,
-        "snapshot": None,
-        "help": False,
-    }
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg in ("--help", "-h"):
-            opts["help"] = True
-        elif arg == "--host" or arg.startswith("--host="):
-            opts["host"] = _take_value(args, "--host", arg)
-        elif arg == "--port" or arg.startswith("--port="):
-            opts["port"] = int(_take_value(args, "--port", arg))
-        elif arg == "--workers" or arg.startswith("--workers="):
-            opts["workers"] = int(_take_value(args, "--workers", arg))
-        elif arg == "--batch" or arg.startswith("--batch="):
-            opts["batch"] = int(_take_value(args, "--batch", arg))
-        elif arg == "--wait-ms" or arg.startswith("--wait-ms="):
-            opts["wait_ms"] = float(_take_value(args, "--wait-ms", arg))
-        elif arg == "--shards" or arg.startswith("--shards="):
-            opts["shards"] = int(_take_value(args, "--shards", arg))
-        elif arg == "--snapshot" or arg.startswith("--snapshot="):
-            opts["snapshot"] = _take_value(args, "--snapshot", arg)
-        elif arg == "--ready-file" or arg.startswith("--ready-file="):
-            opts["ready_file"] = _take_value(args, "--ready-file", arg)
-        elif arg == "--metrics-out" or arg.startswith("--metrics-out="):
-            opts["metrics_out"] = _take_value(args, "--metrics-out", arg)
-        else:
-            raise _CliError(f"unknown serve option: {arg}")
-    return opts
+    return vars(_serve_parser().parse_args(argv))
 
 
 def serve_main(argv: List[str]) -> int:
     """Boot the daemon and block until shutdown."""
     try:
         opts = _serve_args(argv)
-    except (_CliError, ValueError) as error:
+    except _CliError as error:
         print(str(error), file=sys.stderr)
         return 2
     if opts["help"]:
-        print(__doc__)
+        print(_serve_parser().format_help())
         return 0
 
     shards = opts["shards"] if opts["shards"] is not None else serve_shards()
@@ -106,7 +89,7 @@ def serve_main(argv: List[str]) -> int:
         state = _snapshot_state(opts["snapshot"])
     else:
         state = resolve_serve_state()
-    engine = build_engine(state, workers=opts["workers"])
+    engine = build_engine(state)
     daemon = ServeDaemon(
         engine,
         host=opts["host"],
@@ -164,7 +147,6 @@ def _serve_sharded(opts: dict, shards: int) -> int:
         port=opts["port"] if opts["port"] is not None else serve_port(),
         batch_size=opts["batch"],
         wait_ms=opts["wait_ms"],
-        workers=opts["workers"] if opts["workers"] is not None else serve_workers(),
     )
     try:
         host, port = supervisor.start()
@@ -197,56 +179,31 @@ def _write_manifest(path: str, daemon, seed: int) -> None:
     )
 
 
+def _loadgen_parser() -> _Parser:
+    parser = _parser("python -m repro serve loadgen")
+    parser.add_argument("-n", "--queries", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--concurrency", type=int, default=8)
+    parser.add_argument("--batch", type=int, default=1)
+    parser.add_argument("--shards", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--shutdown", action="store_true")
+    return parser
+
+
 def _loadgen_args(argv: List[str]) -> dict:
-    opts = {
-        "host": "127.0.0.1",
-        "port": None,
-        "queries": 500,
-        "seed": 0,
-        "concurrency": 8,
-        "batch": 1,
-        "shards": None,
-        "out": None,
-        "shutdown": False,
-        "help": False,
-    }
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg in ("--help", "-h"):
-            opts["help"] = True
-        elif arg == "--host" or arg.startswith("--host="):
-            opts["host"] = _take_value(args, "--host", arg)
-        elif arg == "--port" or arg.startswith("--port="):
-            opts["port"] = int(_take_value(args, "--port", arg))
-        elif arg in ("-n", "--queries") or arg.startswith("--queries="):
-            opts["queries"] = int(_take_value(args, "--queries", arg))
-        elif arg == "--seed" or arg.startswith("--seed="):
-            opts["seed"] = int(_take_value(args, "--seed", arg))
-        elif arg == "--concurrency" or arg.startswith("--concurrency="):
-            opts["concurrency"] = int(_take_value(args, "--concurrency", arg))
-        elif arg == "--batch" or arg.startswith("--batch="):
-            opts["batch"] = int(_take_value(args, "--batch", arg))
-        elif arg == "--shards" or arg.startswith("--shards="):
-            opts["shards"] = int(_take_value(args, "--shards", arg))
-        elif arg == "--out" or arg.startswith("--out="):
-            opts["out"] = _take_value(args, "--out", arg)
-        elif arg == "--shutdown":
-            opts["shutdown"] = True
-        else:
-            raise _CliError(f"unknown loadgen option: {arg}")
-    return opts
+    return vars(_loadgen_parser().parse_args(argv))
 
 
 def loadgen_main(argv: List[str]) -> int:
     """Run the network load generator against a live daemon."""
     try:
         opts = _loadgen_args(argv)
-    except (_CliError, ValueError) as error:
+    except _CliError as error:
         print(str(error), file=sys.stderr)
         return 2
     if opts["help"]:
-        print(__doc__)
+        print(_loadgen_parser().format_help())
         return 0
     port = opts["port"] if opts["port"] is not None else serve_port()
 

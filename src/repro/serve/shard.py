@@ -93,7 +93,6 @@ class _ShardConfig:
     listen_socket: Optional[socket.socket]
     batch_size: Optional[int]
     wait_ms: Optional[float]
-    workers: int
     deltas: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = field(default_factory=list)
 
 
@@ -104,7 +103,7 @@ def _shard_main(config: _ShardConfig, ready_conn) -> None:
     # merged view never double-counts.
     reset_metrics()
     state = read_state(config.snapshot_path)
-    engine = build_engine(state, workers=config.workers)
+    engine = build_engine(state)
     daemon = ServeDaemon(
         engine,
         host=config.host,
@@ -160,7 +159,6 @@ class ShardSupervisor:
         port: int = 0,
         batch_size: Optional[int] = None,
         wait_ms: Optional[float] = None,
-        workers: int = 0,
         reuse_port: Optional[bool] = None,
         restart: bool = True,
     ) -> None:
@@ -180,7 +178,6 @@ class ShardSupervisor:
         self.port = port
         self.batch_size = batch_size
         self.wait_ms = wait_ms
-        self.workers = workers
         self.restart = restart
         #: None = autodetect; resolved at :meth:`start`.
         self.reuse_port = reuse_port
@@ -265,7 +262,6 @@ class ShardSupervisor:
             listen_socket=self._listen_socket,
             batch_size=self.batch_size,
             wait_ms=self.wait_ms,
-            workers=self.workers,
             deltas=list(self._deltas),
         )
         started = time.perf_counter()
@@ -273,10 +269,7 @@ class ShardSupervisor:
             target=_shard_main,
             args=(config, send_end),
             name=f"repro-serve-shard-{index}",
-            # Worker pools fork from the shard, and daemonic processes
-            # cannot have children — only pool-less shards get the
-            # die-with-the-supervisor safety of a daemonic process.
-            daemon=self.workers < 2,
+            daemon=True,
         )
         process.start()
         send_end.close()
@@ -472,7 +465,6 @@ class ShardSupervisor:
         counters = {name: 0 for name in SERVE_COUNTERS}
         epochs: List[Optional[int]] = []
         rules = 0
-        workers = 0
         healthy = 0
         for response in responses:
             if not response.get("ok"):
@@ -482,7 +474,6 @@ class ShardSupervisor:
             if response.get("status") == "ok":
                 healthy += 1
             rules = max(rules, int(response.get("rules", 0)))
-            workers += int(response.get("workers", 0))
             for name in SERVE_COUNTERS:
                 counters[name] += int(response.get(name, 0))
         live_epochs = [epoch for epoch in epochs if epoch is not None]
@@ -503,7 +494,6 @@ class ShardSupervisor:
             "shard_epochs": epochs,
             "restarts": get_metrics().counter("serve.shard_restarts"),
             "rules": rules,
-            "workers": workers,
             **counters,
         }
 
@@ -604,7 +594,6 @@ class ShardSupervisor:
         return {
             "port": self.port,
             "epoch": self._last_epoch,
-            "workers": self.workers if self.workers >= 2 else 0,
             "shards": self.shard_count,
             "shard_restarts": get_metrics().counter("serve.shard_restarts"),
             **counters,

@@ -1,10 +1,12 @@
 """Focused unit tests for the live-web crawler (§4.3)."""
 
+import pickle
 from datetime import date
 
 import pytest
 
 from repro.analysis.livecrawl import LiveCrawler
+from repro.experiments.context import ExperimentContext
 from repro.filterlist.history import FilterListHistory
 from repro.synthesis.world import SyntheticWorld, WorldConfig
 
@@ -61,3 +63,17 @@ class TestLiveCrawler:
         histories = {"L": history_with(["###adblock-notice"])}
         no_html = LiveCrawler(world, histories).crawl(check_html=False)
         assert no_html.html_matches["L"] == 0
+
+
+class TestParallelWaves:
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return ExperimentContext.create(scale=0.01)
+
+    def test_fork_per_wave_matches_serial(self, ctx):
+        """Parallel waves (one fork pool per wave) pickle like the serial crawl."""
+        serial = LiveCrawler(ctx.world, ctx.histories).crawl(workers=1)
+        parallel = LiveCrawler(ctx.world, ctx.histories).crawl(
+            workers=2, wave_size=37
+        )
+        assert pickle.dumps(parallel) == pickle.dumps(serial)

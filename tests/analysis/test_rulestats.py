@@ -7,8 +7,8 @@ Three layers of guarantees under test:
 - **integration**: instrumented matchers/adblockers record hits without
   changing a single match outcome;
 - **end to end**: the §4 replay produces byte-identical canonical
-  payloads and report JSON across serial, fork-per-run, and
-  persistent-pool execution, and stats-on never changes result bytes.
+  payloads and report JSON across serial and fork-per-run execution,
+  and stats-on never changes result bytes.
 """
 
 import json
@@ -19,7 +19,6 @@ import pytest
 
 from repro.analysis.coverage import CoverageAnalyzer
 from repro.analysis.livecrawl import LiveCrawler
-from repro.analysis.pool import PersistentPool, set_persistent_pool
 from repro.analysis.rulestats import (
     RuleStatsCollector,
     RuleStatsStore,
@@ -61,15 +60,6 @@ def stats_off():
         yield
     finally:
         set_rule_stats(previous)
-
-
-@pytest.fixture()
-def no_pool():
-    previous = set_persistent_pool(None)
-    try:
-        yield
-    finally:
-        set_persistent_pool(previous)
 
 
 RULES = [
@@ -422,43 +412,26 @@ def _live_canonical(ctx, workers):
 
 
 class TestEndToEndDeterminism:
-    def test_coverage_serial_vs_fork_parallel(self, ctx, no_pool):
+    def test_coverage_serial_vs_fork_parallel(self, ctx):
         serial_result, serial_payload = _coverage_canonical(ctx, workers=1)
         fork_result, fork_payload = _coverage_canonical(ctx, workers=2)
         assert serial_payload == fork_payload
         assert pickle.dumps(serial_result) == pickle.dumps(fork_result)
         assert json.loads(serial_payload)["lists"]  # non-trivial accounting
 
-    def test_coverage_via_persistent_pool(self, ctx):
-        serial_result, serial_payload = _coverage_canonical(ctx, workers=1)
-        pool = PersistentPool(2)
-        pool.publish("world", ctx.world)
-        pool.publish("lists", ctx.lists)
-        pool.publish("histories", ctx.histories)
-        pool.publish("crawl", ctx.crawl)
-        previous = set_persistent_pool(pool)
-        try:
-            runs_before = pool.runs
-            pool_result, pool_payload = _coverage_canonical(ctx, workers=2)
-            assert pool.runs > runs_before
-        finally:
-            set_persistent_pool(previous)
-        assert serial_payload == pool_payload
-        assert pickle.dumps(serial_result) == pickle.dumps(pool_result)
-
-    def test_live_crawl_serial_vs_parallel(self, ctx, no_pool):
+    def test_live_crawl_serial_vs_parallel(self, ctx):
         serial_result, serial_payload = _live_canonical(ctx, workers=1)
         fork_result, fork_payload = _live_canonical(ctx, workers=2)
         assert serial_payload == fork_payload
         assert pickle.dumps(serial_result) == pickle.dumps(fork_result)
         assert json.loads(serial_payload)["lists"]
 
-    def test_stats_on_never_changes_results(self, ctx, no_pool, stats_off):
+    def test_stats_on_never_changes_results(self, ctx, stats_off):
         baseline = CoverageAnalyzer(ctx.histories).analyze(ctx.crawl, workers=1)
         with_stats, _ = _coverage_canonical(ctx, workers=1)
         assert pickle.dumps(baseline) == pickle.dumps(with_stats)
 
-    def test_report_json_identical_across_modes(self, ctx, no_pool):
+    def test_report_json_identical_across_modes(self, ctx):
         _, serial_payload = _coverage_canonical(ctx, workers=1)
         _, fork_payload = _coverage_canonical(ctx, workers=2)
         serial_report = build_rule_report(json.loads(serial_payload), ctx.histories)

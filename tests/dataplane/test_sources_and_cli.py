@@ -1,31 +1,19 @@
-"""Source tables and the ``python -m repro.dataplane`` inspect CLI."""
+"""The ``python -m repro.dataplane`` inspect CLI."""
 
 import json
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
 
-from repro.dataplane.sources import SourceTable, write_source_table
+from repro.dataplane.requests import write_request_table
+from repro.wayback.crawler import CrawlRecord, CrawlResult, CrawlStatus
+from repro.web.har import HarFile
+from repro.web.http import Exchange, Request, Response
 
 SRC_ROOT = str(Path(__file__).resolve().parents[2] / "src")
-
-
-class TestSourceTable:
-    def test_roundtrip(self, tmp_path):
-        sources = ["var a = 1;", "", "function noop() {}"]
-        path = tmp_path / "sources.rdps"
-        write_source_table(path, sources)
-        with SourceTable(path) as table:
-            assert len(table) == 3
-            assert [table.get(i) for i in range(3)] == sources
-
-    def test_repeated_get_shares_object(self, tmp_path):
-        path = tmp_path / "sources.rdps"
-        write_source_table(path, ["shared source"])
-        with SourceTable(path) as table:
-            assert table.get(0) is table.get(0)
 
 
 def run_cli(*args):
@@ -40,22 +28,29 @@ def run_cli(*args):
 class TestInspectCli:
     @pytest.fixture()
     def artifact(self, tmp_path):
-        path = tmp_path / "sources.rdps"
-        write_source_table(path, ["var a = 1;", "var b = 2;"])
+        har = HarFile(page_url="http://a.com/")
+        for url in ("http://a.com/", "http://cdn.a.com/ads.js"):
+            har.add(Exchange(request=Request(url=url), response=Response(body="x")))
+        record = CrawlRecord(
+            domain="a.com", month=date(2015, 3, 1), status=CrawlStatus.OK, har=har
+        )
+        path = tmp_path / "requests.rdpr"
+        write_request_table(path, CrawlResult(records=[record]))
         return path
 
     def test_inspect_text(self, artifact):
         proc = run_cli("inspect", str(artifact))
         assert proc.returncode == 0
-        assert "sources" in proc.stdout
+        assert "requests" in proc.stdout
         assert str(artifact) in proc.stdout
 
     def test_inspect_json(self, artifact):
         proc = run_cli("inspect", "--json", str(artifact))
         assert proc.returncode == 0
         (info,) = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert info["kind"] == "sources"
-        assert info["sources"] == 2
+        assert info["kind"] == "requests"
+        assert info["slots"] == 1
+        assert info["rows"] == 2
 
     def test_inspect_events_segment(self, tmp_path):
         from repro.dataplane.events import write_event_segment

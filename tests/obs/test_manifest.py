@@ -215,6 +215,9 @@ class TestSchemaVersions:
             "dropped": True,
         }
         assert any("dropped" in error for error in validate_manifest(data))
+        # ``workers`` is optional (older daemons wrote it), but typed.
+        data["serve"] = {"port": 7675, "epoch": 0, "workers": "2"}
+        assert any("workers" in error for error in validate_manifest(data))
 
     def test_manifest_without_serve_section_still_validates(self, manifest):
         data = _finalize(manifest)

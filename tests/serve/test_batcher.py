@@ -1,58 +1,38 @@
-"""The RequestBatcher's collector loop against a fake pool engine.
+"""The RequestBatcher's collector loop: delivery, flushing, and survival.
 
-The pooled path pipelines: batch N scores in a worker while batch N+1
-fills. The regression pinned here is the end of a burst — the final
-batch's future is pending, every synchronous client is blocked on its
-answers, so no new query will ever arrive to wake the collector. The
-collector must deliver a pending future as soon as it completes, not
-when the next batch (never) shows up.
+The collector is a single thread between every connection and the
+engine. Two properties are pinned here besides ordering and the close
+flush: a query the engine cannot handle is answered with an error frame,
+and a batch whose engine call raises is answered with per-query error
+frames while the collector keeps serving. If that thread died, every
+later query on every connection would wait out the dispatch timeout.
 """
 
 import threading
 import time
 
-from repro.serve.batcher import RequestBatcher
+from repro.obs.metrics import get_metrics
+from repro.serve.batcher import RequestBatcher, ServeEngine
 
 
 def _answers(queries):
     return [{"ok": True, "op": q.get("op")} for q in queries]
 
 
-class _FakeFuture:
-    """Resolves to the batch's answers after a worker-like delay."""
+class FakeEngine:
+    """Inline engine double: counts batches, optionally slow or failing."""
 
-    def __init__(self, queries, delay):
-        self._queries = queries
-        self._event = threading.Event()
-        timer = threading.Timer(delay, self._event.set)
-        timer.daemon = True
-        timer.start()
-
-    def done(self):
-        return self._event.is_set()
-
-    def result(self, timeout=None):
-        self._event.wait(timeout)
-        return _answers(self._queries)
-
-
-class FakePoolEngine:
-    """Engine double whose submit path completes off-thread, like a pool."""
-
-    def __init__(self, delay=0.05):
+    def __init__(self, delay=0.0, poison=None):
         self.delay = delay
-        self.pool_batches = 0
-        self.inline_batches = 0
-
-    def submit_batch(self, queries):
-        return _FakeFuture(list(queries), self.delay)
-
-    def collect(self, future):
-        self.pool_batches += 1
-        return future.result()
+        self.poison = poison
+        self.batches = 0
 
     def answer_batch(self, queries, batched=True):
-        self.inline_batches += 1
+        self.batches += 1
+        if self.delay:
+            time.sleep(self.delay)
+        if any(q.get("url") == self.poison for q in queries):
+            raise TypeError("poisoned batch")
         return _answers(queries)
 
 
@@ -60,49 +40,75 @@ def _queries(count):
     return [{"op": "url", "url": f"https://x.example/{i}"} for i in range(count)]
 
 
-class TestPipelinedDelivery:
-    def test_final_pending_batch_delivers_without_new_traffic(self):
-        """One full batch, no successor: the stall the 60s timeout used to eat."""
-        engine = FakePoolEngine(delay=0.05)
-        batcher = RequestBatcher(engine, batch_size=4, wait_ms=1.0)
-        batcher.start()
-        try:
-            t0 = time.monotonic()
-            answers = batcher.ask_many(_queries(4), timeout=5.0)
-            elapsed = time.monotonic() - t0
-        finally:
-            batcher.close()
-        assert [a["ok"] for a in answers] == [True] * 4
-        assert engine.pool_batches == 1
-        # Pre-fix this stalled until the ask_many timeout and answered
-        # "query timed out in queue"; post-fix it is delay-bound.
-        assert elapsed < 2.0
-
+class TestDelivery:
     def test_burst_spanning_batches_answers_in_order(self):
-        engine = FakePoolEngine(delay=0.02)
+        engine = FakeEngine()
         batcher = RequestBatcher(engine, batch_size=4, wait_ms=1.0)
         batcher.start()
         try:
-            queries = _queries(10)
-            answers = batcher.ask_many(queries, timeout=5.0)
+            answers = batcher.ask_many(_queries(10), timeout=5.0)
         finally:
             batcher.close()
-        assert len(answers) == 10
-        assert all(a["ok"] for a in answers)
-        assert engine.pool_batches == 3  # 4 + 4 + 2, all via the pool
+        assert [a["ok"] for a in answers] == [True] * 10
+        assert engine.batches == 3  # 4 + 4 + 2
 
-    def test_close_flushes_a_pending_future(self):
-        engine = FakePoolEngine(delay=0.05)
+    def test_close_flushes_queued_queries(self):
+        engine = FakeEngine(delay=0.05)
         batcher = RequestBatcher(engine, batch_size=4, wait_ms=1.0)
         batcher.start()
         result = {}
 
         def client():
-            result["answers"] = batcher.ask_many(_queries(4), timeout=5.0)
+            result["answers"] = batcher.ask_many(_queries(6), timeout=5.0)
 
         thread = threading.Thread(target=client, daemon=True)
         thread.start()
-        time.sleep(0.02)  # let the batch get collected and submitted
+        time.sleep(0.02)  # the first batch is in the engine, the rest queued
         batcher.close()
         thread.join(5.0)
-        assert [a["ok"] for a in result["answers"]] == [True] * 4
+        assert [a["ok"] for a in result["answers"]] == [True] * 6
+
+
+class TestCollectorSurvival:
+    def test_raising_batch_answers_error_frames_and_keeps_serving(self):
+        engine = FakeEngine(poison="https://poison.example/")
+        batcher = RequestBatcher(engine, batch_size=4, wait_ms=1.0)
+        batcher.start()
+        try:
+            bad = batcher.ask({"op": "url", "url": "https://poison.example/"}, timeout=2.0)
+            t0 = time.monotonic()
+            good = batcher.ask(_queries(1)[0], timeout=2.0)
+            elapsed = time.monotonic() - t0
+            alive = batcher._thread.is_alive()
+        finally:
+            batcher.close()
+        assert bad["ok"] is False
+        assert "engine error" in bad["error"]
+        assert get_metrics().counter("serve.engine_errors") == 1
+        assert alive
+        assert good["ok"] is True
+        assert elapsed < 1.0
+
+    def test_malformed_page_url_then_good_query(self, serve_state):
+        """The live bug: an int ``page_url`` used to raise inside the
+        engine, kill the collector, and time out every later query."""
+        batcher = RequestBatcher(
+            ServeEngine(serve_state.build_chain()), batch_size=4, wait_ms=1.0
+        )
+        batcher.start()
+        try:
+            bad = batcher.ask(
+                {"op": "url", "url": "http://x.com/a", "page_url": 5}, timeout=2.0
+            )
+            t0 = time.monotonic()
+            good = batcher.ask(
+                {"op": "url", "url": "http://x.com/a", "page_url": "http://x.com/"},
+                timeout=2.0,
+            )
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert bad["ok"] is False
+        assert "page_url" in bad["error"]
+        assert good["ok"] is True
+        assert elapsed < 1.0

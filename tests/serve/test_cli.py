@@ -10,12 +10,12 @@ class TestServeArgs:
         opts = _serve_args([])
         assert opts["host"] == "127.0.0.1"
         assert opts["port"] is None  # falls back to REPRO_SERVE_PORT
-        assert opts["workers"] is None
+        assert opts["shards"] is None  # falls back to REPRO_SERVE_SHARDS
 
     def test_both_flag_forms(self):
-        opts = _serve_args(["--port", "8000", "--workers=4", "--wait-ms=0.5"])
+        opts = _serve_args(["--port", "8000", "--shards=4", "--wait-ms=0.5"])
         assert opts["port"] == 8000
-        assert opts["workers"] == 4
+        assert opts["shards"] == 4
         assert opts["wait_ms"] == 0.5
 
     def test_ready_and_metrics_files(self):

@@ -3,13 +3,10 @@ offline :class:`~repro.core.online.OnlineAdblocker`."""
 
 import json
 
-import pytest
-
 from repro.core.online import OnlineAdblocker, source_digest
 from repro.filterlist.parser import parse_filter_list
 from repro.obs.metrics import get_metrics
 from repro.serve.batcher import ServeEngine, answer_query, prewarm_verdicts
-from repro.serve.daemon import build_engine
 from repro.serve.loadgen import generate_queries
 
 QUERY_COUNT = 48
@@ -48,19 +45,6 @@ class TestParity:
         answers = engine.answer_batch(queries, batched=True)
         assert canonical(answers) == canonical(expected_answers(serve_state, queries))
 
-    def test_pool_path_matches_offline(self, serve_state):
-        queries = generate_queries(13, 32)
-        engine = build_engine(serve_state, workers=2)
-        if engine.pool is None:
-            pytest.skip("fork start method unavailable")
-        try:
-            future = engine.submit_batch(queries)
-            assert future is not None
-            answers = engine.collect(future)
-        finally:
-            engine.pool.close()
-        assert canonical(answers) == canonical(expected_answers(serve_state, queries))
-
     def test_answers_after_reload_match_fresh_offline(self, serve_state):
         engine = ServeEngine(serve_state.build_chain())
         added = ["||hotfix-tracker.example/ad.js"]
@@ -92,9 +76,13 @@ class TestPrewarm:
                 {"op": "script"},  # missing the source field
                 {"op": "page", "page": {"html": "<html></html>"}},  # no url
                 {"op": "reload"},  # not a query op
+                {"op": "url", "url": "http://x.com/a", "page_url": 5},
+                {"op": "url", "url": "http://x.com/a", "resource_type": ["script"]},
             ]
         )
-        assert [a["ok"] for a in answers] == [False, False, False, False]
+        assert [a["ok"] for a in answers] == [False] * 6
+        assert "page_url" in answers[4]["error"]
+        assert "resource_type" in answers[5]["error"]
 
 
 class TestAccounting:
