@@ -56,8 +56,10 @@ from .features import FEATURE_SETS, TokenEvent, features_from_events, token_even
 
 #: Version of the extraction semantics baked into cached event streams.
 #: Part of every cache key: bumping it orphans (never corrupts) old disk
-#: entries, which is the whole invalidation story.
-EXTRACTOR_VERSION = 1
+#: entries, which is the whole invalidation story. Version 2: a string
+#: continued across a CRLF line break tokenizes instead of failing, and a
+#: number ``float`` cannot read (``1²``) is a parse error.
+EXTRACTOR_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from ..jsast import nodes as N
 from ..jsast.parser import ParseError, parse
 from ..jsast.tokenizer import KEYWORDS, TokenizeError
 from ..jsast.unpack import unpack_program
-from ..jsast.walker import walk_with_ancestors
 
 FEATURE_SETS = ("all", "literal", "keyword")
 
@@ -104,21 +103,6 @@ def _text_kind(node: N.Node) -> Tuple[str, str]:
     return "", ""
 
 
-def _contexts(node: N.Node, ancestors: Tuple[N.Node, ...]) -> List[str]:
-    """Contexts a text node appears in: own type, parent type, structure."""
-    contexts = [node.type]
-    if ancestors:
-        contexts.append(ancestors[-1].type)
-    for ancestor in reversed(ancestors):
-        structure = _STRUCTURE_CONTEXT.get(ancestor.type)
-        if structure is not None:
-            contexts.append(structure)
-            break
-    else:
-        contexts.append("toplevel")
-    return contexts
-
-
 _KIND_FILTER = {
     "all": ("keyword", "identifier", "literal"),
     "literal": ("literal",),
@@ -138,15 +122,30 @@ TokenEvent = Tuple[str, str, Tuple[str, ...]]
 def token_events(program: N.Program) -> List[TokenEvent]:
     """One AST walk emitting every feature set's raw material.
 
-    Truncates each text token to 64 characters so pathological literals
-    (inline data blobs) do not mint unbounded vocabulary.
+    The walk is depth-first pre-order, like
+    :func:`~repro.jsast.walker.walk`, and carries each node's parent type
+    and nearest enclosing control structure down with it, so a text
+    node's contexts — its own type, its parent's type, and that structure
+    (``toplevel`` when there is none) — cost no ancestor scan. Truncates
+    each text token to 64 characters so pathological literals (inline
+    data blobs) do not mint unbounded vocabulary.
     """
     events: List[TokenEvent] = []
-    for node, ancestors in walk_with_ancestors(program):
+    stack: List[Tuple[N.Node, str, str]] = [(program, "", "toplevel")]
+    while stack:
+        node, parent_type, structure = stack.pop()
+        node_type = node.type
         kind, text = _text_kind(node)
-        if not kind:
-            continue
-        events.append((kind, text[:64], tuple(_contexts(node, ancestors))))
+        if kind:
+            if parent_type:
+                events.append((kind, text[:64], (node_type, parent_type, structure)))
+            else:
+                events.append((kind, text[:64], (node_type, structure)))
+        children = list(node.children())
+        if children:
+            children.reverse()
+            inner = _STRUCTURE_CONTEXT.get(node_type, structure)
+            stack += [(child, node_type, inner) for child in children]
     return events
 
 

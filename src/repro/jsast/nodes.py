@@ -10,8 +10,19 @@ touching the walker.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
+
+
+@functools.lru_cache(maxsize=None)
+def field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of node class ``cls``, in declaration order.
+
+    Cached per class: ``dataclasses.fields`` builds a new tuple on every
+    call, and a tree walk asks once per visited node.
+    """
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @dataclass
@@ -22,9 +33,6 @@ class Node:
     extractor uses as the *context* half of its ``context:text`` features.
     """
 
-    def __post_init__(self) -> None:  # pragma: no cover - trivial
-        pass
-
     @property
     def type(self) -> str:
         """The ESTree node-type string."""
@@ -32,8 +40,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes in source order."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in field_names(self.__class__):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, list):
@@ -43,10 +51,10 @@ class Node:
 
     def replace_child(self, old: "Node", new: "Node") -> bool:
         """Replace a direct child ``old`` with ``new``; return success."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in field_names(self.__class__):
+            value = getattr(self, name)
             if value is old:
-                setattr(self, f.name, new)
+                setattr(self, name, new)
                 return True
             if isinstance(value, list):
                 for i, item in enumerate(value):
@@ -253,12 +261,6 @@ class ThisExpression(Node):
 class ArrayExpression(Node):
     """ESTree ``ArrayExpression`` node."""
     elements: list = field(default_factory=list)  # items may be None (elision)
-
-    def children(self) -> Iterator[Node]:
-        """Direct child nodes in source order."""
-        for item in self.elements:
-            if isinstance(item, Node):
-                yield item
 
 
 @dataclass

@@ -4,10 +4,19 @@ Produces a stream of :class:`Token` objects with enough context for the
 parser to honour automatic semicolon insertion (each token records whether
 a line terminator preceded it) and to disambiguate regular-expression
 literals from division operators (the classic JS lexer ambiguity).
+
+Scanning is one compiled master regex (:data:`_MASTER`) of named groups,
+matched at the cursor and dispatched on ``match.lastgroup``: whitespace,
+line terminators, comments, ASCII identifiers, plain numbers, escape-free
+strings and punctuators. Everything else — string escapes and line
+continuations, regular-expression literals, non-ASCII identifiers and
+odd numbers — falls back to the per-character ``_read_*`` readers, which
+define the token language.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -72,8 +81,53 @@ PUNCTUATORS = [
     ".",
 ]
 
-LINE_TERMINATORS = "\n\r  "
+LINE_TERMINATORS = "\n\r\u2028\u2029"
 
+_RESERVED_WORDS = KEYWORDS | LITERAL_KEYWORDS
+
+#: Whitespace other than a line terminator (``\s`` is ``str.isspace``).
+_HSPACE = r"[^\S\n\r\u2028\u2029]"
+
+#: The scanner's alternatives, tried in order at the cursor. The
+#: punctuators are one ordered alternation in :data:`PUNCTUATORS` order,
+#: so the first (longest) entry that matches wins, as in a ``startswith``
+#: scan — except ``/`` and ``/=`` (the ``slash`` group: whether they
+#: start a regular expression depends on the previous token) and ``.``
+#: (the ``dot`` group, after ``number`` so that ``.5`` is a number; a
+#: non-ASCII character after it may be a digit, which the per-character
+#: reader handles). No alternative matches the empty string, so a failed
+#: match means end of input or a fallback.
+_MASTER = re.compile(
+    "|".join(
+        (
+            rf"(?P<ws>{_HSPACE}+)",
+            rf"(?P<crlf>\r\n{_HSPACE}*)",
+            rf"(?P<nl>[\n\r\u2028\u2029]{_HSPACE}*)",
+            r"(?P<name>[A-Za-z$_][A-Za-z0-9$_]*)",
+            r"(?P<punct>"
+            + "|".join(re.escape(p) for p in PUNCTUATORS if p[0] != "/" and p != ".")
+            + ")",
+            r"(?P<string>\"[^\"\\\n\r\u2028\u2029]*\"|'[^'\\\n\r\u2028\u2029]*')",
+            r"(?P<hex>0[xX][0-9a-fA-F]+)",
+            r"(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)",
+            r"(?P<comment>//[^\n\r\u2028\u2029]*)",
+            r"(?P<block>/\*)",
+            r"(?P<slash>/=?)",
+            r"(?P<dot>\.(?![^\x00-\x7f]))",
+        )
+    )
+)
+
+#: Characters after a matched decimal number at which the regex may stop
+#: short of :meth:`Tokenizer._read_number`: an exponent marker the regex
+#: declined (its digit may be non-ASCII) or the ``x`` of a hex marker
+#: without digits. A non-ASCII character (a possible digit) falls back too.
+_NUMBER_TAIL = frozenset("eExX")
+
+#: The previous token's raw text, for kinds where it decides whether a
+#: ``/`` may start a regular expression.
+_NO_REGEX_AFTER_KEYWORD = frozenset({"this", "true", "false", "null", "undefined"})
+_NO_REGEX_AFTER_PUNCT = frozenset({")", "]", "}", "++", "--"})
 
 
 class TokenizeError(ValueError):
@@ -124,7 +178,6 @@ def _is_identifier_part(ch: str) -> bool:
     return ord(ch) > 127 and not ch.isspace() and ch not in LINE_TERMINATORS
 
 
-
 class Tokenizer:
     """Single-pass tokenizer over a JavaScript source string."""
 
@@ -134,17 +187,84 @@ class Tokenizer:
         self.line = 1
         self.line_start = 0
         self._tokens: List[Token] = []
-        self._newline_pending = False
 
     # -- public API --------------------------------------------------------
 
     def tokenize(self) -> List[Token]:
         """Tokenize the whole source, returning a list ending with EOF."""
+        src = self.source
+        match = _MASTER.match
+        tokens = self._tokens
+        append = tokens.append
+        pos, line, line_start = self.pos, self.line, self.line_start
+        newline = False
         while True:
-            token = self._next_token()
-            self._tokens.append(token)
-            if token.kind == "eof":
-                return self._tokens
+            m = match(src, pos)
+            group = m.lastgroup if m is not None else None
+            if group == "punct":
+                raw = m.group()
+                append(Token("punct", raw, raw, line, pos - line_start + 1, newline))
+            elif group == "name":
+                raw = m.group()
+                if src[m.end() : m.end() + 1] > "\x7f":
+                    group = None  # a non-ASCII identifier part follows
+                else:
+                    kind = "keyword" if raw in _RESERVED_WORDS else "identifier"
+                    append(Token(kind, raw, raw, line, pos - line_start + 1, newline))
+            elif group == "ws" or group == "comment":
+                pos = m.end()
+                continue
+            elif group == "nl" or group == "crlf":
+                newline = True
+                line += 1
+                line_start = pos + (1 if group == "nl" else 2)
+                pos = m.end()
+                continue
+            elif group == "string":
+                raw = m.group()
+                append(Token("string", raw[1:-1], raw, line, pos - line_start + 1, newline))
+            elif group == "number":
+                tail = src[m.end() : m.end() + 1]
+                if tail in _NUMBER_TAIL or tail > "\x7f":
+                    group = None  # the number may read on past the match
+                else:
+                    raw = m.group()
+                    append(Token("number", float(raw), raw, line, pos - line_start + 1, newline))
+            elif group == "hex":
+                raw = m.group()
+                append(Token("number", float(int(raw, 16)), raw, line, pos - line_start + 1, newline))
+            elif group == "block":
+                end = src.find("*/", pos + 2)
+                if end < 0:
+                    raise TokenizeError("unterminated block comment", line, pos - line_start + 1)
+                lines = _count_terminators(src, pos, end)
+                if lines:
+                    newline = True
+                    line += lines
+                    line_start = 1 + max(src.rfind(t, pos, end) for t in LINE_TERMINATORS)
+                pos = end + 2
+                continue
+            elif group == "slash":
+                if self._regex_allowed():
+                    group = None
+                else:
+                    raw = m.group()
+                    append(Token("punct", raw, raw, line, pos - line_start + 1, newline))
+            elif group == "dot":
+                append(Token("punct", ".", ".", line, pos - line_start + 1, newline))
+            elif pos >= len(src):
+                append(Token("eof", None, "", line, pos - line_start + 1, newline))
+                return tokens
+            if group is None:
+                # Hand the cursor to the per-character readers and back.
+                self.pos, self.line, self.line_start = pos, line, line_start
+                token = self._read_token()
+                token.newline_before = newline
+                append(token)
+                pos, line, line_start = self.pos, self.line, self.line_start
+            else:
+                pos = m.end()
+            newline = False
 
     # -- internals ---------------------------------------------------------
 
@@ -159,76 +279,37 @@ class Tokenizer:
         index = self.pos + offset
         return self.source[index] if index < len(self.source) else ""
 
-    def _skip_whitespace_and_comments(self) -> None:
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch in LINE_TERMINATORS:
-                self._newline_pending = True
-                if ch == "\r" and self._peek(1) == "\n":
-                    self.pos += 1
-                self.pos += 1
-                self.line += 1
-                self.line_start = self.pos
-            elif ch.isspace():
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(src) and src[self.pos] not in LINE_TERMINATORS:
-                    self.pos += 1
-            elif ch == "/" and self._peek(1) == "*":
-                end = src.find("*/", self.pos + 2)
-                if end < 0:
-                    raise self._error("unterminated block comment")
-                block = src[self.pos : end]
-                newlines = sum(block.count(t) for t in LINE_TERMINATORS)
-                if newlines:
-                    self._newline_pending = True
-                    self.line += newlines
-                self.pos = end + 2
-            else:
-                return
-
     def _regex_allowed(self) -> bool:
         """Heuristic: may a ``/`` at the current position start a regex?
 
-        A regex is allowed when the previous significant token cannot end an
+        A regex is allowed when the previous token cannot end an
         expression — i.e. after punctuation other than ``) ] }`` and
         postfix operators, after most keywords, or at the start of input.
         """
-        for prev in reversed(self._tokens):
-            if prev.kind in ("identifier", "number", "string", "regex"):
-                return False
-            if prev.kind == "keyword":
-                # ``this`` and literal keywords end an expression.
-                return prev.raw not in ("this", "true", "false", "null", "undefined")
-            if prev.kind == "punct":
-                if prev.raw in (")", "]", "}", "++", "--"):
-                    return False
-                return True
+        if not self._tokens:
             return True
+        prev = self._tokens[-1]
+        if prev.kind in ("identifier", "number", "string", "regex"):
+            return False
+        if prev.kind == "keyword":
+            # ``this`` and literal keywords end an expression.
+            return prev.raw not in _NO_REGEX_AFTER_KEYWORD
+        if prev.kind == "punct":
+            return prev.raw not in _NO_REGEX_AFTER_PUNCT
         return True
 
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        newline = self._newline_pending
-        self._newline_pending = False
-        line, column = self.line, self._column
-        if self.pos >= len(self.source):
-            return Token("eof", None, "", line, column, newline)
-
+    def _read_token(self) -> Token:
+        """Read one token at the cursor, one character at a time."""
         ch = self.source[self.pos]
         if _is_identifier_start(ch):
-            token = self._read_identifier()
-        elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            token = self._read_number()
-        elif ch in "'\"":
-            token = self._read_string()
-        elif ch == "/" and self._regex_allowed():
-            token = self._read_regex()
-        else:
-            token = self._read_punctuator()
-        token.newline_before = newline
-        return token
+            return self._read_identifier()
+        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
+            return self._read_number()
+        if ch in "'\"":
+            return self._read_string()
+        if ch == "/" and self._regex_allowed():
+            return self._read_regex()
+        return self._read_punctuator()
 
     def _read_identifier(self) -> Token:
         start = self.pos
@@ -236,7 +317,7 @@ class Tokenizer:
         while self.pos < len(self.source) and _is_identifier_part(self.source[self.pos]):
             self.pos += 1
         raw = self.source[start : self.pos]
-        if raw in KEYWORDS or raw in LITERAL_KEYWORDS:
+        if raw in _RESERVED_WORDS:
             return Token("keyword", raw, raw, line, column)
         return Token("identifier", raw, raw, line, column)
 
@@ -244,7 +325,7 @@ class Tokenizer:
         start = self.pos
         line, column = self.line, self._column
         src = self.source
-        if src[self.pos] == "0" and self._peek(1) in "xX":
+        if src[self.pos] == "0" and self._peek(1) in ("x", "X"):
             self.pos += 2
             while self.pos < len(src) and src[self.pos] in "0123456789abcdefABCDEF":
                 self.pos += 1
@@ -269,7 +350,11 @@ class Tokenizer:
                 while self.pos < len(src) and src[self.pos].isdigit():
                     self.pos += 1
         raw = src[start : self.pos]
-        return Token("number", float(raw), raw, line, column)
+        try:
+            value = float(raw)
+        except ValueError:  # a digit ``float`` rejects, such as "²"
+            raise TokenizeError("invalid number literal", line, column) from None
+        return Token("number", value, raw, line, column)
 
     _ESCAPES = {
         "n": "\n",
@@ -306,7 +391,9 @@ class Tokenizer:
                 esc = self._peek()
                 if esc == "":
                     raise self._error("unterminated string literal")
-                if esc in LINE_TERMINATORS:  # line continuation
+                if esc in LINE_TERMINATORS:  # line continuation; CRLF is one
+                    if esc == "\r" and self._peek(1) == "\n":
+                        self.pos += 1
                     self.pos += 1
                     self.line += 1
                     self.line_start = self.pos
@@ -369,6 +456,17 @@ class Tokenizer:
                 self.pos += len(punct)
                 return Token("punct", punct, punct, line, column)
         raise self._error(f"unexpected character {self.source[self.pos]!r}")
+
+
+def _count_terminators(src: str, start: int, end: int) -> int:
+    """Line terminators in ``src[start:end]``, counting CRLF as one."""
+    return (
+        src.count("\n", start, end)
+        + src.count("\r", start, end)
+        - src.count("\r\n", start, end)
+        + src.count("\u2028", start, end)
+        + src.count("\u2029", start, end)
+    )
 
 
 def tokenize(source: str) -> List[Token]:

@@ -244,15 +244,14 @@ def _try_parse(source: str) -> Optional[N.Program]:
         return None
 
 
-def _unpack_packed_packer(program: N.Program) -> Optional[str]:
+def _unpack_packed_packer(calls: List[N.CallExpression]) -> Optional[str]:
     """Evaluate the Dean Edwards ``eval(function(p,a,c,k,e,d){...})`` packer.
 
-    Detects the canonical shape and runs the base-N word substitution in
-    Python, returning the unpacked source.
+    Detects the canonical shape among ``calls`` (a program's call
+    expressions in pre-order) and runs the base-N word substitution in
+    Python, returning the unpacked source of the first packer found.
     """
-    for node, _ancestors in walk_with_ancestors(program):
-        if not isinstance(node, N.CallExpression):
-            continue
+    for node in calls:
         if not (isinstance(node.callee, N.Identifier) and node.callee.name == "eval"):
             continue
         if len(node.arguments) != 1:
@@ -340,7 +339,14 @@ def unpack_program(program: N.Program) -> UnpackResult:
 
 
 def _unpack_one_round(program: N.Program, sources: List[str], failed: Set[str]) -> bool:
-    packed = _unpack_packed_packer(program)
+    # One walk serves both passes: neither the packer search nor payload
+    # folding changes the tree, which is only modified just before returning.
+    calls = [
+        (node, ancestors)
+        for node, ancestors in walk_with_ancestors(program)
+        if isinstance(node, N.CallExpression)
+    ]
+    packed = _unpack_packed_packer([node for node, _ancestors in calls])
     if packed is not None:
         parsed = _try_parse(packed)
         if parsed is not None:
@@ -349,9 +355,7 @@ def _unpack_one_round(program: N.Program, sources: List[str], failed: Set[str]) 
             program.body.extend(parsed.body)
             return True
         failed.add(packed)
-    for node, ancestors in walk_with_ancestors(program):
-        if not isinstance(node, N.CallExpression):
-            continue
+    for node, ancestors in calls:
         payloads = _dynamic_code_sources(node)
         if not payloads:
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .nodes import Node
@@ -14,7 +15,9 @@ def walk(root: Node) -> Iterator[Node]:
         node = stack.pop()
         yield node
         children = list(node.children())
-        stack.extend(reversed(children))
+        if children:
+            children.reverse()
+            stack += children
 
 
 def walk_with_ancestors(root: Node) -> Iterator[Tuple[Node, Tuple[Node, ...]]]:
@@ -27,9 +30,10 @@ def walk_with_ancestors(root: Node) -> Iterator[Tuple[Node, Tuple[Node, ...]]]:
     while stack:
         node, ancestors = stack.pop()
         yield node, ancestors
-        child_ancestors = ancestors + (node,)
-        for child in reversed(list(node.children())):
-            stack.append((child, child_ancestors))
+        children = list(node.children())
+        if children:
+            children.reverse()
+            stack += zip(children, repeat(ancestors + (node,)))
 
 
 def find_all(root: Node, predicate: Callable[[Node], bool]) -> List[Node]:

@@ -67,6 +67,17 @@ class TestExtractEvents:
         assert entry.events == ()
         assert entry.features("all") == set()
 
+    def test_number_float_rejects_is_a_parse_error(self):
+        # A ValueError here would escape extraction and abort the corpus.
+        entry = extract_events("var x = 1\u00b2;")
+        assert entry.parse_error
+        assert entry.events == ()
+
+    def test_crlf_continued_string_extracts(self):
+        entry = extract_events('var s = "ad\\\r\nblock";')
+        assert not entry.parse_error
+        assert any(text == "adblock" for _kind, text, _contexts in entry.events)
+
     def test_unparseable_eval_payload_is_a_bailout(self):
         entry = extract_events(BAILOUT, unpack=True)
         assert entry.unpack_bailout

@@ -71,6 +71,12 @@ class TestNumbers:
         with pytest.raises(TokenizeError):
             tokenize("0x")
 
+    def test_superscript_digit_is_a_tokenize_error(self):
+        # str.isdigit accepts "²" but float() does not: a TokenizeError,
+        # which extraction records as a parse error, not a ValueError.
+        with pytest.raises(TokenizeError, match="invalid number literal"):
+            tokenize("var x = 1\u00b2;")
+
     def test_number_then_dot_method(self):
         toks = raws("1..toString")
         assert toks == ["1.", ".", "toString"]
@@ -109,6 +115,14 @@ class TestStrings:
     def test_line_continuation(self):
         assert tokenize('"ab\\\ncd"')[0].value == "abcd"
 
+    def test_crlf_line_continuation_is_one_terminator(self):
+        tokens = tokenize('x = "ab\\\r\ncd";')
+        string = tokens[2]
+        assert (string.kind, string.value) == ("string", "abcd")
+        assert string.raw == '"ab\\\r\ncd"'
+        # The token after the string sits on line 2, just past ``cd"``.
+        assert (tokens[3].raw, tokens[3].line, tokens[3].column) == (";", 2, 4)
+
 
 class TestComments:
     def test_line_comment_skipped(self):
@@ -124,6 +138,18 @@ class TestComments:
     def test_multiline_block_comment_sets_newline_flag(self):
         tokens = tokenize("a /* x\ny */ b")
         assert tokens[1].newline_before is True
+
+    def test_position_after_multiline_block_comment(self):
+        b = tokenize("a /* x\ny */ b")[1]
+        assert (b.line, b.column) == (2, 6)
+
+    def test_crlf_in_block_comment_counts_one_line(self):
+        b = tokenize("a /* x\r\ny */ b")[1]
+        assert (b.line, b.column) == (2, 6)
+
+    def test_mixed_terminators_in_block_comment(self):
+        b = tokenize("/* \r \n \u2028 \u2029 \r\n*/ b")[0]
+        assert (b.line, b.column, b.newline_before) == (6, 4, True)
 
 
 class TestRegexDisambiguation:
@@ -183,6 +209,10 @@ class TestPositionsAndNewlines:
     def test_crlf_counts_one_line(self):
         tokens = tokenize("a\r\nb")
         assert tokens[1].line == 2
+
+    def test_eof_column_after_trailing_zero(self):
+        eof = tokenize("x=0")[-1]
+        assert (eof.kind, eof.line, eof.column) == ("eof", 1, 4)
 
     def test_column_tracking(self):
         tokens = tokenize("ab cd")
